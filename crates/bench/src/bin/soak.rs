@@ -19,10 +19,14 @@
 //! * `--regions/--fas/--mobiles` size the world (defaults 2 × 10 × 500 —
 //!   the 1k-host hierarchy the `simcore` soak case also runs).
 //! * `--duration-secs N` sets the simulated soak length (default 8).
-//! * `--shards N` runs the soak on the sharded engine (DESIGN.md §10)
-//!   with `N` region-owned shards and region-confined mobility; `N = 1`
-//!   (the default) keeps the classic single-world path, and the typed
-//!   event stream is identical either way on jitter-free worlds.
+//! * `--shards N` with `N > 1` runs the soak on the sharded engine
+//!   (DESIGN.md §10) with `N` region-owned shards and region-confined
+//!   mobility: each mobile wanders its own region's cells. `N = 1` (the
+//!   default) runs the classic single world with global mobility: each
+//!   mobile wanders every cell. The two paths run different mobility
+//!   plans, so their handoffs and delivery differ; sharded runs at
+//!   different shard counts share one typed event stream on jitter-free
+//!   worlds.
 //! * `--hierarchical` runs the world with the regional registration
 //!   tier (DESIGN.md §12): regional routers own their region's visitor
 //!   bindings and cell foreign agents register visitors regionally. The

@@ -6,7 +6,7 @@
 //! The design exploits what was already true: every protocol handler in
 //! this workspace touches the outside world only through [`Ctx`]. A
 //! [`NodeHarness`] owns everything a `Ctx` borrows (event queue for
-//! timers, RNG, stats, telemetry, tracer, interface table) for a *single*
+//! timers, RNG, stats, telemetry, interface table) for a *single*
 //! node and reproduces `World`'s dispatch pipeline byte-for-byte at the
 //! telemetry level: `FrameTx` on transmit, `FrameRx` on delivery,
 //! `Timer` on fire, drop reasons for detached/bad interfaces. Frames
@@ -37,7 +37,6 @@ use crate::id::{IfaceId, MacAddr, NodeId};
 use crate::node::{Action, Ctx, IfaceInfo, LinkEvent, Node};
 use crate::stats::{metric, Stats};
 use crate::time::SimTime;
-use crate::trace::Tracer;
 use crate::world::World;
 #[cfg(feature = "telemetry")]
 use telemetry::DropReason;
@@ -86,7 +85,7 @@ impl NodeIo for NullIo {
 /// Runs one [`Node`] outside a [`World`]: the sans-io dispatch engine.
 ///
 /// Owns the full per-node execution context — timer queue, RNG, stats,
-/// structured telemetry, tracer, interface table — and reproduces the
+/// structured telemetry, interface table — and reproduces the
 /// simulator's dispatch pipeline for frames, timers, link events and
 /// start-up. Frames leave through a caller-supplied [`NodeIo`]; time
 /// comes in as an argument (clamped monotone, see the module docs).
@@ -101,7 +100,6 @@ pub struct NodeHarness {
     ifaces: Vec<IfaceInfo>,
     queue: EventQueue,
     rng: StdRng,
-    tracer: Tracer,
     stats: Stats,
     tele: EventLog,
     /// High-water mark of all times seen; node-visible time.
@@ -120,7 +118,6 @@ impl NodeHarness {
             ifaces: Vec::new(),
             queue: EventQueue::new(),
             rng: StdRng::seed_from_u64(seed),
-            tracer: Tracer::new(),
             stats: Stats::new(),
             tele: EventLog::new(),
             now: SimTime::ZERO,
@@ -217,8 +214,6 @@ impl NodeHarness {
             match ev.kind {
                 QueueEventKind::Timer { node, token } => {
                     debug_assert_eq!(node, self.node_id);
-                    self.tracer
-                        .record(self.now, Some(node), "timer", || format!("token {:#x}", token.0));
                     #[cfg(feature = "telemetry")]
                     self.tele_record(None, telemetry::EventKind::Timer { token: token.0 });
                     self.dispatch(io, None, |n, ctx| n.on_timer(ctx, token));
@@ -322,7 +317,6 @@ impl NodeHarness {
             queue: &mut self.queue,
             actions,
             rng: &mut self.rng,
-            tracer: &mut self.tracer,
             stats: &mut self.stats,
             tele: &mut self.tele,
             journey,

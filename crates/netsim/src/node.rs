@@ -10,7 +10,6 @@ use crate::frame::Frame;
 use crate::id::{IfaceId, MacAddr, NodeId};
 use crate::stats::Stats;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::Tracer;
 #[cfg(feature = "telemetry")]
 use telemetry::Event;
 use telemetry::{EventKind, EventLog, JourneyId};
@@ -133,7 +132,6 @@ pub struct Ctx<'a> {
     pub(crate) queue: &'a mut EventQueue,
     pub(crate) actions: Vec<Action>,
     pub(crate) rng: &'a mut StdRng,
-    pub(crate) tracer: &'a mut Tracer,
     pub(crate) stats: &'a mut Stats,
     #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
     pub(crate) tele: &'a mut EventLog,
@@ -233,13 +231,6 @@ impl<'a> Ctx<'a> {
     /// The world's deterministic random number generator.
     pub fn rng(&mut self) -> &mut StdRng {
         self.rng
-    }
-
-    /// Records a trace event (no-op unless tracing is enabled).
-    pub fn trace(&mut self, kind: &'static str, detail: impl FnOnce() -> String) {
-        let node = self.node;
-        let now = self.now;
-        self.tracer.record(now, Some(node), kind, detail);
     }
 
     /// Global statistics hub (counters and time series).

@@ -119,6 +119,87 @@ impl SimWorld for World {
     }
 }
 
+/// World construction with an explicit home shard per node and segment:
+/// the surface one generic builder needs to produce the same world on
+/// either engine.
+///
+/// A [`World`] is the one-shard case: it accepts only shard 0, and its
+/// "portal" segments are ordinary segments. Node ids, segment ids and
+/// MAC addresses follow call order on both engines, so a builder that
+/// makes the same calls gets the same ids at any shard count.
+pub trait SimBuild: SimWorld {
+    /// Creates an empty world of `shards` shards seeded with `seed`.
+    fn with_shards(seed: u64, shards: usize) -> Self;
+
+    /// Number of shards.
+    fn shard_count(&self) -> usize;
+
+    /// Adds an ordinary segment owned by `shard`.
+    fn add_segment(&mut self, shard: usize, params: SegmentParams) -> SegmentId;
+
+    /// Adds a segment that nodes of every shard in `shards` attach to.
+    fn add_portal_segment(&mut self, params: SegmentParams, shards: &[usize]) -> SegmentId;
+
+    /// Adds a node owned by `shard`.
+    fn add_node(&mut self, shard: usize, node: impl Node) -> NodeId;
+
+    /// Adds an interface to `node`, optionally attached to `segment`.
+    fn add_iface(&mut self, node: NodeId, segment: Option<SegmentId>) -> (IfaceId, MacAddr);
+
+    /// Hints the expected steady-state event population per shard.
+    fn reserve_events(&mut self, per_shard: usize);
+
+    /// Runs every node's `on_start`. Call exactly once.
+    fn start(&mut self);
+
+    /// Enables or disables structured telemetry.
+    fn set_telemetry(&mut self, enabled: bool);
+
+    /// The typed telemetry log with global node ids (see
+    /// [`ShardedWorld::merged_events`] for the cross-shard order).
+    fn typed_events(&self) -> Vec<Event>;
+}
+
+impl SimBuild for World {
+    /// # Panics
+    ///
+    /// Panics unless `shards == 1`.
+    fn with_shards(seed: u64, shards: usize) -> World {
+        assert_eq!(shards, 1, "a classic World is a one-shard world");
+        World::new(seed)
+    }
+    fn shard_count(&self) -> usize {
+        1
+    }
+    fn add_segment(&mut self, shard: usize, params: SegmentParams) -> SegmentId {
+        assert_eq!(shard, 0, "a classic World has only shard 0");
+        World::add_segment(self, params)
+    }
+    fn add_portal_segment(&mut self, params: SegmentParams, shards: &[usize]) -> SegmentId {
+        assert!(shards.iter().all(|&s| s == 0), "a classic World has only shard 0");
+        World::add_segment(self, params)
+    }
+    fn add_node(&mut self, shard: usize, node: impl Node) -> NodeId {
+        assert_eq!(shard, 0, "a classic World has only shard 0");
+        World::add_node(self, node)
+    }
+    fn add_iface(&mut self, node: NodeId, segment: Option<SegmentId>) -> (IfaceId, MacAddr) {
+        World::add_iface(self, node, segment)
+    }
+    fn reserve_events(&mut self, per_shard: usize) {
+        World::reserve_events(self, per_shard);
+    }
+    fn start(&mut self) {
+        World::start(self);
+    }
+    fn set_telemetry(&mut self, enabled: bool) {
+        World::set_telemetry(self, enabled);
+    }
+    fn typed_events(&self) -> Vec<Event> {
+        self.telemetry().events().copied().collect()
+    }
+}
+
 /// Journey-id namespace stride: shard `s` mints ids above `s << 40`, so
 /// concurrent mints on different shards never collide (2^40 journeys per
 /// shard before overlap — far beyond the telemetry ring's horizon).
@@ -161,7 +242,7 @@ struct PortalInfo {
 /// A parallel simulation world: shard-owned [`World`]s coordinated by a
 /// conservative barrier scheduler (see the [module docs](self)).
 ///
-/// The builder API mirrors [`World`] with an explicit home shard per
+/// The builder API is [`SimBuild`], with an explicit home shard per
 /// node/segment; ids handed out are *global* and translated internally.
 /// A `ShardedWorld` with one shard behaves exactly like the `World` it
 /// wraps (no portals are created, so the exchange machinery never runs).
@@ -254,95 +335,6 @@ impl ShardedWorld {
     /// per-shard stats and telemetry).
     pub fn shard(&self, shard: usize) -> &World {
         &self.cells[shard].0
-    }
-
-    /// Adds an ordinary segment owned by `shard`. Returns a global id.
-    pub fn add_segment(&mut self, shard: usize, params: SegmentParams) -> SegmentId {
-        let local = self.cells[shard].0.add_segment(params);
-        let id = SegmentId(self.seg_loc.len());
-        self.seg_loc.push(SegLoc::Local { shard: shard as u32, seg: local });
-        id
-    }
-
-    /// Adds a portal segment replicated into every shard in `shards`
-    /// (deduplicated; order is normalized). Returns a global id.
-    ///
-    /// With a single distinct shard this degenerates to an ordinary local
-    /// segment — which is why a 1-shard world carries zero portal
-    /// overhead and replays the classic path exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is empty, or (with ≥ 2 distinct shards) if
-    /// `params` is not deterministic — portals need fixed latency and no
-    /// jitter/loss/corruption, both for the lookahead bound and because
-    /// arrivals are replayed into other shards without re-drawing
-    /// randomness.
-    pub fn add_portal_segment(&mut self, params: SegmentParams, shards: &[usize]) -> SegmentId {
-        let mut list: Vec<usize> = shards.to_vec();
-        list.sort_unstable();
-        list.dedup();
-        assert!(!list.is_empty(), "portal needs at least one shard");
-        if list.len() == 1 {
-            return self.add_segment(list[0], params);
-        }
-        let portal = PortalId(self.portals.len());
-        let mut replicas = Vec::with_capacity(list.len());
-        for &s in &list {
-            let local = self.cells[s].0.add_segment(params);
-            self.cells[s].0.mark_portal(local, portal);
-            replicas.push((s as u32, local));
-        }
-        self.portals.push(PortalInfo { replicas });
-        self.lookahead = Some(self.lookahead.map_or(params.latency, |l| l.min(params.latency)));
-        let id = SegmentId(self.seg_loc.len());
-        self.seg_loc.push(SegLoc::Portal(portal));
-        id
-    }
-
-    /// Adds a node owned by `shard`. Returns a global id (assigned in
-    /// call order, independent of the shard count).
-    pub fn add_node(&mut self, shard: usize, node: impl Node) -> NodeId {
-        let local = self.cells[shard].0.add_node(node);
-        let id = NodeId(self.node_loc.len());
-        self.node_loc.push((shard as u32, local));
-        self.node_global[shard].push(id.0 as u32);
-        id
-    }
-
-    /// Adds an interface to `node`, optionally attached to a (global)
-    /// segment. MAC addresses come from one global counter, so a node
-    /// keeps the same address no matter how the world is sharded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `segment` is a local segment of a different shard, or a
-    /// portal without a replica in the node's shard.
-    pub fn add_iface(&mut self, node: NodeId, segment: Option<SegmentId>) -> (IfaceId, MacAddr) {
-        let (shard, local_node) = self.node_loc[node.0];
-        let local_seg = segment.map(|s| self.seg_in_shard(s, shard));
-        let mac_index = self.mac_counter;
-        self.mac_counter += 1;
-        self.cells[shard as usize].0.add_iface_with_mac(local_node, local_seg, mac_index)
-    }
-
-    /// Hints the expected steady-state event population *per shard* (see
-    /// [`World::reserve_events`]).
-    pub fn reserve_events(&mut self, per_shard: usize) {
-        for cell in &mut self.cells {
-            cell.0.reserve_events(per_shard);
-        }
-    }
-
-    /// Runs every node's `on_start`, shard by shard, then exchanges any
-    /// portal egress the start handlers produced. Call exactly once.
-    pub fn start(&mut self) {
-        assert!(!self.started, "ShardedWorld::start called twice");
-        self.started = true;
-        for cell in &mut self.cells {
-            cell.0.start();
-        }
-        self.exchange();
     }
 
     /// Enables or disables structured telemetry on every shard. Each
@@ -835,6 +827,111 @@ impl SimWorld for ShardedWorld {
     }
     fn events_processed(&self) -> u64 {
         ShardedWorld::events_processed(self)
+    }
+}
+
+impl SimBuild for ShardedWorld {
+    fn with_shards(seed: u64, shards: usize) -> ShardedWorld {
+        ShardedWorld::new(seed, shards)
+    }
+    fn shard_count(&self) -> usize {
+        ShardedWorld::shard_count(self)
+    }
+    /// Adds an ordinary segment owned by `shard`. Returns a global id.
+    fn add_segment(&mut self, shard: usize, params: SegmentParams) -> SegmentId {
+        let local = self.cells[shard].0.add_segment(params);
+        let id = SegmentId(self.seg_loc.len());
+        self.seg_loc.push(SegLoc::Local { shard: shard as u32, seg: local });
+        id
+    }
+
+    /// Adds a portal segment replicated into every shard in `shards`
+    /// (deduplicated; order is normalized). Returns a global id.
+    ///
+    /// With a single distinct shard this degenerates to an ordinary local
+    /// segment — which is why a 1-shard world carries zero portal
+    /// overhead and replays the classic path exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is empty, or (with ≥ 2 distinct shards) if
+    /// `params` is not deterministic — portals need fixed latency and no
+    /// jitter/loss/corruption, both for the lookahead bound and because
+    /// arrivals are replayed into other shards without re-drawing
+    /// randomness.
+    fn add_portal_segment(&mut self, params: SegmentParams, shards: &[usize]) -> SegmentId {
+        let mut list: Vec<usize> = shards.to_vec();
+        list.sort_unstable();
+        list.dedup();
+        assert!(!list.is_empty(), "portal needs at least one shard");
+        if list.len() == 1 {
+            return self.add_segment(list[0], params);
+        }
+        let portal = PortalId(self.portals.len());
+        let mut replicas = Vec::with_capacity(list.len());
+        for &s in &list {
+            let local = self.cells[s].0.add_segment(params);
+            self.cells[s].0.mark_portal(local, portal);
+            replicas.push((s as u32, local));
+        }
+        self.portals.push(PortalInfo { replicas });
+        self.lookahead = Some(self.lookahead.map_or(params.latency, |l| l.min(params.latency)));
+        let id = SegmentId(self.seg_loc.len());
+        self.seg_loc.push(SegLoc::Portal(portal));
+        id
+    }
+
+    /// Adds a node owned by `shard`. Returns a global id (assigned in
+    /// call order, independent of the shard count).
+    fn add_node(&mut self, shard: usize, node: impl Node) -> NodeId {
+        let local = self.cells[shard].0.add_node(node);
+        let id = NodeId(self.node_loc.len());
+        self.node_loc.push((shard as u32, local));
+        self.node_global[shard].push(id.0 as u32);
+        id
+    }
+
+    /// Adds an interface to `node`, optionally attached to a (global)
+    /// segment. MAC addresses come from one global counter, so a node
+    /// keeps the same address no matter how the world is sharded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `segment` is a local segment of a different shard, or a
+    /// portal without a replica in the node's shard.
+    fn add_iface(&mut self, node: NodeId, segment: Option<SegmentId>) -> (IfaceId, MacAddr) {
+        let (shard, local_node) = self.node_loc[node.0];
+        let local_seg = segment.map(|s| self.seg_in_shard(s, shard));
+        let mac_index = self.mac_counter;
+        self.mac_counter += 1;
+        self.cells[shard as usize].0.add_iface_with_mac(local_node, local_seg, mac_index)
+    }
+
+    /// Hints the expected steady-state event population *per shard* (see
+    /// [`World::reserve_events`]).
+    fn reserve_events(&mut self, per_shard: usize) {
+        for cell in &mut self.cells {
+            cell.0.reserve_events(per_shard);
+        }
+    }
+
+    /// Runs every node's `on_start`, shard by shard, then exchanges any
+    /// portal egress the start handlers produced. Call exactly once.
+    fn start(&mut self) {
+        assert!(!self.started, "ShardedWorld::start called twice");
+        self.started = true;
+        for cell in &mut self.cells {
+            cell.0.start();
+        }
+        self.exchange();
+    }
+
+    fn set_telemetry(&mut self, enabled: bool) {
+        ShardedWorld::set_telemetry(self, enabled);
+    }
+
+    fn typed_events(&self) -> Vec<Event> {
+        self.merged_events()
     }
 }
 

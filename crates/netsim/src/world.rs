@@ -17,7 +17,6 @@ use crate::node::{Action, Ctx, IfaceInfo, LinkEvent, Node};
 use crate::segment::{Segment, SegmentParams};
 use crate::stats::{metric, Stats};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::Tracer;
 use telemetry::pcapng::PcapWriter;
 use telemetry::{DropReason, EventLog, FaultKind, Journey, JourneyId};
 
@@ -157,7 +156,6 @@ pub struct World {
     bindings: Vec<Vec<IfaceBinding>>,
     segments: Vec<Segment>,
     rng: StdRng,
-    tracer: Tracer,
     stats: Stats,
     mac_counter: u64,
     started: bool,
@@ -218,7 +216,6 @@ impl World {
             bindings: Vec::new(),
             segments: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
-            tracer: Tracer::new(),
             stats: Stats::new(),
             mac_counter: 0,
             started: false,
@@ -476,8 +473,6 @@ impl World {
                     self.stats.incr_id(metric::FAULT_TIMERS_DROPPED_NODE_DOWN);
                     return;
                 }
-                self.tracer
-                    .record(self.time, Some(node), "timer", || format!("token {:#x}", token.0));
                 self.tele_record(Some(node), None, telemetry::EventKind::Timer { token: token.0 });
                 self.dispatch(node, |n, ctx| n.on_timer(ctx, token));
             }
@@ -497,7 +492,7 @@ impl World {
 
     /// Delivers one frame copy to `node`'s `iface`, running the full
     /// arrival pipeline (crash check, moved-away suppression, stats,
-    /// trace, telemetry, pcap, dispatch). Shared by per-receiver `Frame`
+    /// telemetry, pcap, dispatch). Shared by per-receiver `Frame`
     /// events and batched `FrameBatch` fan-outs.
     fn deliver_frame(&mut self, node: NodeId, iface: IfaceId, segment: SegmentId, frame: &Frame) {
         if self.down_nodes[node.0] {
@@ -518,16 +513,6 @@ impl World {
             .is_some_and(|b| b.segment == Some(segment));
         if still_here {
             self.stats.incr_id(metric::LINK_FRAMES_DELIVERED);
-            self.tracer.record(self.time, Some(node), "frame", || {
-                format!(
-                    "if{} {} -> {} {:?} len {}",
-                    iface.0,
-                    frame.src,
-                    frame.dst,
-                    frame.ethertype,
-                    frame.payload.len()
-                )
-            });
             self.tele_record(
                 Some(node),
                 frame.journey,
@@ -611,7 +596,6 @@ impl World {
 
     fn apply_fault(&mut self, op: FaultOp) {
         self.stats.incr_id(metric::FAULT_OPS_APPLIED);
-        self.tracer.record(self.time, None, "fault", || op.to_string());
         let fault_kind = match &op {
             FaultOp::SegmentDown { .. } => FaultKind::SegmentDown,
             FaultOp::SegmentUp { .. } => FaultKind::SegmentUp,
@@ -748,16 +732,6 @@ impl World {
     /// Global statistics (mutable access, for scenario-level metrics).
     pub fn stats_mut(&mut self) -> &mut Stats {
         &mut self.stats
-    }
-
-    /// The trace collector.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// Enables or disables tracing.
-    pub fn set_tracing(&mut self, enabled: bool) {
-        self.tracer.set_enabled(enabled);
     }
 
     /// Enables or disables structured telemetry (typed events + packet
@@ -928,7 +902,7 @@ impl World {
         actions.clear();
         // The node's interface view is maintained incrementally (see the
         // `iface_infos` field) and borrowed straight into the context —
-        // disjoint from the queue/rng/tracer fields borrowed mutably —
+        // disjoint from the queue/rng/stats fields borrowed mutably —
         // rather than rebuilt from `bindings` per dispatch.
         let mut ctx = Ctx {
             now: self.time,
@@ -937,7 +911,6 @@ impl World {
             queue: &mut self.queue,
             actions,
             rng: &mut self.rng,
-            tracer: &mut self.tracer,
             stats: &mut self.stats,
             tele: &mut self.tele,
             journey,
@@ -1506,7 +1479,7 @@ mod tests {
     #[test]
     fn fault_plan_runs_are_byte_identical() {
         use crate::faults::{FaultOp, FaultPlan};
-        let run = |seed: u64| -> (Vec<String>, Vec<(String, u64)>) {
+        let run = |seed: u64| -> (Vec<telemetry::Event>, Vec<(String, u64)>) {
             let mut w = World::new(seed);
             let seg = w.add_segment(SegmentParams {
                 loss: 0.2,
@@ -1517,7 +1490,7 @@ mod tests {
             w.add_iface(b, Some(seg));
             let c = w.add_node(Counter::new(true));
             w.add_iface(c, Some(seg));
-            w.set_tracing(true);
+            w.set_telemetry(true);
             let plan = FaultPlan::new()
                 .flap(
                     seg,
@@ -1534,16 +1507,22 @@ mod tests {
             w.install_faults(&plan);
             w.start();
             w.run_until(SimTime::from_secs(1));
-            let trace = w
-                .tracer()
-                .events()
-                .iter()
-                .map(|e| format!("{:?} {:?} {} {}", e.time, e.node, e.kind, e.detail))
-                .collect();
+            let events = w.telemetry().events().copied().collect();
             let counters = w.stats().counters().map(|(n, v)| (n.to_owned(), v)).collect();
-            (trace, counters)
+            (events, counters)
         };
-        assert_eq!(run(1994), run(1994));
+        let (events, counters) = run(1994);
+        // The typed log carries the timer, the faults and the frame the
+        // flap dropped.
+        #[cfg(feature = "telemetry")]
+        {
+            use telemetry::EventKind as K;
+            let has = |f: fn(&K) -> bool| events.iter().any(|e| f(&e.kind));
+            assert!(has(|k| matches!(k, K::Timer { .. })), "no timers logged");
+            assert!(has(|k| matches!(k, K::Fault { .. })), "no faults logged");
+            assert!(has(|k| matches!(k, K::FrameDrop { .. })), "no frame drops logged");
+        }
+        assert_eq!((events, counters), run(1994));
     }
 
     #[test]

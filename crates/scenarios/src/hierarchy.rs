@@ -40,7 +40,7 @@ use std::net::Ipv4Addr;
 use ip::Prefix;
 use mhrp::{Attachment, MhrpConfig, MhrpHostNode, MhrpRouterNode, MobileHostNode};
 use netsim::time::SimDuration;
-use netsim::{IfaceId, NodeId, SegmentId, SegmentParams, ShardedWorld, World};
+use netsim::{IfaceId, NodeId, SegmentId, SegmentParams, ShardedWorld, SimBuild, SimWorld, World};
 use netstack::route::NextHop;
 
 /// The backbone prefix every regional router has one interface on.
@@ -183,22 +183,35 @@ impl HierarchyParams {
     }
 }
 
-/// The built hierarchical world with handles to every node.
+/// The built hierarchical world on engine `W`, with handles to every
+/// node. Use it through [`Hierarchy`] (one classic [`World`]) or
+/// [`ShardedHierarchy`] (a region-sharded [`ShardedWorld`]).
+///
+/// One builder serves both engines. Every region's LAN, cells, routers,
+/// agents and mobiles live on one shard (regions in contiguous blocks,
+/// see [`shard_of_region`]), the backbone is the single portal segment,
+/// and the correspondent and attackers sit on shard 0. Node and segment
+/// creation follows one global order, so node ids and MAC addresses are
+/// identical on both engines and at any shard count — which is what lets
+/// the determinism suite compare merged telemetry across shard counts
+/// directly.
 #[derive(Debug)]
-pub struct Hierarchy {
+pub struct HierarchyOn<W> {
     /// The simulation world (started).
-    pub world: World,
+    pub world: W,
     /// Number of regions built.
     pub regions: usize,
     /// Foreign agents per region.
     pub fas_per_region: usize,
     /// Mobile hosts per region.
     pub mobiles_per_region: usize,
+    /// Shard owning each region (all 0 on a classic [`World`]).
+    pub region_shard: Vec<usize>,
     /// Regional routers, indexed by region.
     pub routers: Vec<NodeId>,
     /// Foreign agents, indexed `region * fas_per_region + fa`.
     pub fas: Vec<NodeId>,
-    /// Cell segments, indexed like [`Hierarchy::fas`].
+    /// Cell segments, indexed like [`HierarchyOn::fas`].
     pub cells: Vec<SegmentId>,
     /// Mobile hosts, indexed `region * mobiles_per_region + i`.
     pub mobiles: Vec<NodeId>,
@@ -208,6 +221,12 @@ pub struct Hierarchy {
     pub attackers: Vec<NodeId>,
 }
 
+/// The hierarchy on one classic [`World`].
+pub type Hierarchy = HierarchyOn<World>;
+
+/// The hierarchy on a region-sharded [`ShardedWorld`] (DESIGN.md §10).
+pub type ShardedHierarchy = HierarchyOn<ShardedWorld>;
+
 impl Hierarchy {
     /// Builds (and starts) the hierarchical world.
     ///
@@ -216,249 +235,8 @@ impl Hierarchy {
     /// Panics if the parameters exceed the address plan (see
     /// [`HierarchyParams`] field limits).
     pub fn build(p: HierarchyParams) -> Hierarchy {
-        assert!((1..=200).contains(&p.regions), "regions must be in 1..=200");
-        assert!((1..=250).contains(&p.fas_per_region), "fas_per_region must be in 1..=250");
-        assert!(p.mobiles_per_region <= 65_000, "mobiles_per_region must be <= 65_000");
-        assert!(p.attackers <= 50, "attackers must be <= 50");
-
-        let mut w = World::new(p.seed);
-        // The population is known up front, so hint the event queue's
-        // steady-state size before anything is scheduled: each node keeps
-        // a few timers armed (watchdog, advertiser, retransmit) plus its
-        // share of frames in flight.
-        let nodes = p.regions * (1 + p.fas_per_region)
-            + p.host_count()
-            + usize::from(p.correspondent)
-            + p.attackers;
-        w.reserve_events(nodes * 4);
-        let wired = SegmentParams::with_latency(p.wired_latency);
-        let backbone = w.add_segment(wired);
-        let lans: Vec<SegmentId> = (0..p.regions).map(|_| w.add_segment(wired)).collect();
-        let mut cells = Vec::with_capacity(p.regions * p.fas_per_region);
-        for _ in 0..p.regions * p.fas_per_region {
-            cells.push(w.add_segment(cell_params(&p)));
-        }
-
-        // --- Regional routers: backbone <-> region LAN, home agents ---
-        let mut routers = Vec::with_capacity(p.regions);
-        for (r, &lan) in lans.iter().enumerate() {
-            let mut node = MhrpRouterNode::new(p.config.clone())
-                .with_home_agent(IfaceId(1))
-                .with_advertiser(vec![IfaceId(1)]);
-            if p.hierarchical {
-                node = node.with_regional_agent(IfaceId(1));
-            }
-            let id = w.add_node(node);
-            w.add_iface(id, Some(backbone)); // iface 0
-            w.add_iface(id, Some(lan)); // iface 1
-            let fas_per_region = p.fas_per_region;
-            let regions = p.regions;
-            w.with_node::<MhrpRouterNode, _>(id, move |n, _| {
-                n.stack.add_iface(IfaceId(0), backbone_addr(r), backbone_prefix());
-                n.stack.add_iface(IfaceId(1), region_router_addr(r), region_prefix(r));
-                for r2 in (0..regions).filter(|&r2| r2 != r) {
-                    let via = backbone_addr(r2);
-                    n.stack
-                        .routes
-                        .add(region_prefix(r2), NextHop::Gateway { iface: IfaceId(0), via });
-                    n.stack
-                        .routes
-                        .add(cells_prefix(r2), NextHop::Gateway { iface: IfaceId(0), via });
-                }
-                for f in 0..fas_per_region {
-                    n.stack.routes.add(
-                        cell_prefix(r, f),
-                        NextHop::Gateway { iface: IfaceId(1), via: fa_upstream_addr(r, f) },
-                    );
-                }
-            });
-            routers.push(id);
-        }
-
-        // --- Foreign agents: region LAN <-> own wireless cell ---
-        let mut fas = Vec::with_capacity(p.regions * p.fas_per_region);
-        for r in 0..p.regions {
-            for f in 0..p.fas_per_region {
-                let mut node = MhrpRouterNode::new(p.config.clone())
-                    .with_foreign_agent(IfaceId(1))
-                    .with_advertiser(vec![IfaceId(1)]);
-                if p.hierarchical {
-                    node = node.with_regional_parent(region_router_addr(r));
-                }
-                let id = w.add_node(node);
-                w.add_iface(id, Some(lans[r])); // iface 0
-                w.add_iface(id, Some(cells[r * p.fas_per_region + f])); // iface 1
-                w.with_node::<MhrpRouterNode, _>(id, move |n, _| {
-                    n.stack.add_iface(IfaceId(0), fa_upstream_addr(r, f), region_prefix(r));
-                    n.stack.add_iface(IfaceId(1), fa_cell_addr(r, f), cell_prefix(r, f));
-                    n.stack.routes.add(
-                        Prefix::default_route(),
-                        NextHop::Gateway { iface: IfaceId(0), via: region_router_addr(r) },
-                    );
-                });
-                fas.push(id);
-            }
-        }
-
-        // --- Correspondent host on the backbone ---
-        let correspondent = p.correspondent.then(|| {
-            let id = w.add_node(MhrpHostNode::new(&p.config));
-            w.add_iface(id, Some(backbone));
-            let regions = p.regions;
-            w.with_node::<MhrpHostNode, _>(id, move |h, _| {
-                h.stack.add_iface(IfaceId(0), CORRESPONDENT_ADDR, backbone_prefix());
-                for r in 0..regions {
-                    let via = backbone_addr(r);
-                    h.stack
-                        .routes
-                        .add(region_prefix(r), NextHop::Gateway { iface: IfaceId(0), via });
-                    h.stack
-                        .routes
-                        .add(cells_prefix(r), NextHop::Gateway { iface: IfaceId(0), via });
-                }
-            });
-            id
-        });
-
-        // --- Mobile hosts: homed on the regional LAN, started away in the
-        // region's cells (round-robin) ---
-        let mut mobiles = Vec::with_capacity(p.host_count());
-        for r in 0..p.regions {
-            for i in 0..p.mobiles_per_region {
-                let id = w.add_node(MobileHostNode::new(
-                    mobile_home_addr(r, i),
-                    region_prefix(r),
-                    region_router_addr(r),
-                    region_router_addr(r),
-                    p.config.clone(),
-                ));
-                let cell = cells[r * p.fas_per_region + (i % p.fas_per_region)];
-                w.add_iface(id, Some(cell));
-                mobiles.push(id);
-            }
-        }
-
-        // --- Attacker hosts on the backbone (built last: node ids of
-        // every legitimate node are independent of the attacker count) ---
-        let mut attackers = Vec::with_capacity(p.attackers);
-        for a in 0..p.attackers {
-            let id = w.add_node(MhrpHostNode::new(&p.config));
-            w.add_iface(id, Some(backbone));
-            let regions = p.regions;
-            w.with_node::<MhrpHostNode, _>(id, move |h, _| {
-                h.stack.add_iface(IfaceId(0), attacker_addr(a), backbone_prefix());
-                for r in 0..regions {
-                    let via = backbone_addr(r);
-                    h.stack
-                        .routes
-                        .add(region_prefix(r), NextHop::Gateway { iface: IfaceId(0), via });
-                    h.stack
-                        .routes
-                        .add(cells_prefix(r), NextHop::Gateway { iface: IfaceId(0), via });
-                }
-            });
-            attackers.push(id);
-        }
-
-        w.start();
-        Hierarchy {
-            world: w,
-            regions: p.regions,
-            fas_per_region: p.fas_per_region,
-            mobiles_per_region: p.mobiles_per_region,
-            routers,
-            fas,
-            cells,
-            mobiles,
-            correspondent,
-            attackers,
-        }
+        HierarchyOn::build_on(p, 1)
     }
-
-    /// Mobile host `idx`'s home address (`idx` indexes [`Hierarchy::mobiles`]).
-    pub fn mobile_addr(&self, idx: usize) -> Ipv4Addr {
-        mobile_home_addr(idx / self.mobiles_per_region, idx % self.mobiles_per_region)
-    }
-
-    /// The cell foreign agent mobile host `idx` starts under.
-    pub fn mobile_cell_fa(&self, idx: usize) -> Ipv4Addr {
-        let r = idx / self.mobiles_per_region;
-        let f = (idx % self.mobiles_per_region) % self.fas_per_region;
-        fa_cell_addr(r, f)
-    }
-
-    /// How many mobile hosts are currently registered with a foreign
-    /// agent.
-    pub fn attached_count(&self) -> usize {
-        self.mobiles
-            .iter()
-            .filter(|&&m| {
-                matches!(self.world.node::<MobileHostNode>(m).core.state, Attachment::Foreign(_))
-            })
-            .count()
-    }
-
-    /// Runs until at least `fraction` of the mobile hosts are registered
-    /// away (or `deadline` of additional simulated time passes). Returns
-    /// `true` on success.
-    pub fn run_until_attached(&mut self, fraction: f64, deadline: SimDuration) -> bool {
-        let want = (self.mobiles.len() as f64 * fraction).ceil() as usize;
-        let end = self.world.now() + deadline;
-        loop {
-            if self.attached_count() >= want {
-                return true;
-            }
-            if self.world.now() >= end {
-                return false;
-            }
-            self.world.run_for(SimDuration::from_millis(250));
-        }
-    }
-}
-
-/// The shard owning `region` when `regions` regions are spread over
-/// `shards` shards: contiguous balanced blocks, so neighbouring regions
-/// share a shard and every shard gets `regions/shards` ± 1 regions.
-pub fn shard_of_region(region: usize, regions: usize, shards: usize) -> usize {
-    region * shards / regions
-}
-
-/// The hierarchical world built region-by-region onto a
-/// [`ShardedWorld`]: every region's LAN, cells, routers, agents and
-/// mobiles live on one shard (regions in contiguous blocks), the
-/// backbone is the single portal segment, and the correspondent sits on
-/// shard 0.
-///
-/// Node and segment creation follows *exactly* the same global order as
-/// [`Hierarchy::build`], so node ids and MAC addresses are identical to
-/// the classic world no matter the shard count — which is what lets the
-/// determinism suite compare merged telemetry across shard counts
-/// directly.
-#[derive(Debug)]
-pub struct ShardedHierarchy {
-    /// The sharded simulation world (started).
-    pub world: ShardedWorld,
-    /// Number of regions built.
-    pub regions: usize,
-    /// Foreign agents per region.
-    pub fas_per_region: usize,
-    /// Mobile hosts per region.
-    pub mobiles_per_region: usize,
-    /// Shard owning each region.
-    pub region_shard: Vec<usize>,
-    /// Regional routers, indexed by region.
-    pub routers: Vec<NodeId>,
-    /// Foreign agents, indexed `region * fas_per_region + fa`.
-    pub fas: Vec<NodeId>,
-    /// Cell segments, indexed like [`ShardedHierarchy::fas`].
-    pub cells: Vec<SegmentId>,
-    /// Mobile hosts, indexed `region * mobiles_per_region + i`.
-    pub mobiles: Vec<NodeId>,
-    /// The correspondent host, when built.
-    pub correspondent: Option<NodeId>,
-    /// Attacker hosts on the backbone, on shard 0 (see
-    /// [`HierarchyParams::attackers`]).
-    pub attackers: Vec<NodeId>,
 }
 
 impl ShardedHierarchy {
@@ -471,6 +249,13 @@ impl ShardedHierarchy {
     /// As [`Hierarchy::build`], plus `shards == 0`.
     pub fn build(p: HierarchyParams, shards: usize) -> ShardedHierarchy {
         assert!(shards >= 1, "need at least one shard");
+        HierarchyOn::build_on(p, shards)
+    }
+}
+
+impl<W: SimBuild> HierarchyOn<W> {
+    /// The one build body: [`Hierarchy::build`] calls it with one shard.
+    fn build_on(p: HierarchyParams, shards: usize) -> HierarchyOn<W> {
         assert!((1..=200).contains(&p.regions), "regions must be in 1..=200");
         assert!((1..=250).contains(&p.fas_per_region), "fas_per_region must be in 1..=250");
         assert!(p.mobiles_per_region <= 65_000, "mobiles_per_region must be <= 65_000");
@@ -478,7 +263,11 @@ impl ShardedHierarchy {
         let shards = shards.min(p.regions);
         let shard_of = |r: usize| shard_of_region(r, p.regions, shards);
 
-        let mut w = ShardedWorld::new(p.seed, shards);
+        let mut w = W::with_shards(p.seed, shards);
+        // The population is known up front, so hint the event queue's
+        // steady-state size before anything is scheduled: each node keeps
+        // a few timers armed (watchdog, advertiser, retransmit) plus its
+        // share of frames in flight.
         let nodes = p.regions * (1 + p.fas_per_region)
             + p.host_count()
             + usize::from(p.correspondent)
@@ -598,8 +387,8 @@ impl ShardedHierarchy {
             }
         }
 
-        // --- Attacker hosts on the backbone, shard 0 (built last, same
-        // global order as the unsharded world) ---
+        // --- Attacker hosts on the backbone, shard 0 (built last: node ids of
+        // every legitimate node are independent of the attacker count) ---
         let mut attackers = Vec::with_capacity(p.attackers);
         for a in 0..p.attackers {
             let id = w.add_node(0, MhrpHostNode::new(&p.config));
@@ -621,7 +410,7 @@ impl ShardedHierarchy {
         }
 
         w.start();
-        ShardedHierarchy {
+        HierarchyOn {
             world: w,
             regions: p.regions,
             fas_per_region: p.fas_per_region,
@@ -635,9 +424,10 @@ impl ShardedHierarchy {
             attackers,
         }
     }
+}
 
-    /// Mobile host `idx`'s home address (`idx` indexes
-    /// [`ShardedHierarchy::mobiles`]).
+impl<W: SimWorld> HierarchyOn<W> {
+    /// Mobile host `idx`'s home address (`idx` indexes [`HierarchyOn::mobiles`]).
     pub fn mobile_addr(&self, idx: usize) -> Ipv4Addr {
         mobile_home_addr(idx / self.mobiles_per_region, idx % self.mobiles_per_region)
     }
@@ -676,6 +466,13 @@ impl ShardedHierarchy {
             self.world.run_for(SimDuration::from_millis(250));
         }
     }
+}
+
+/// The shard owning `region` when `regions` regions are spread over
+/// `shards` shards: contiguous balanced blocks, so neighbouring regions
+/// share a shard and every shard gets `regions/shards` ± 1 regions.
+pub fn shard_of_region(region: usize, regions: usize, shards: usize) -> usize {
+    region * shards / regions
 }
 
 #[cfg(test)]
