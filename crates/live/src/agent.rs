@@ -1,24 +1,23 @@
 //! One live agent: a [`NodeHarness`]-driven protocol core behind real
 //! UDP sockets.
 //!
-//! Each agent owns one node's harness and a command mailbox. Socket
-//! reader tasks (spawned by the runtime in `run.rs`) forward received
-//! datagrams into the mailbox; the coordinator injects link events,
+//! Each agent runs on an OS thread of its own and owns one node's
+//! harness and a command mailbox. One reader thread per interface
+//! socket (started in `run.rs`) blocks in `recv_from` and forwards each
+//! datagram into the mailbox; the coordinator injects link events,
 //! probe requests and shutdown the same way. The agent's loop is the
-//! live counterpart of the simulator's event loop for one node: wait
-//! until the next timer deadline or the next message, then dispatch
-//! through the harness — which reproduces the simulator's pipeline
-//! (telemetry, counters, drop rules) exactly.
+//! live counterpart of the simulator's event loop for one node: block
+//! until the next timer deadline or the next message, whichever comes
+//! first, then dispatch through the harness — which reproduces the
+//! simulator's pipeline (telemetry, counters, drop rules) exactly.
 
 use std::net::Ipv4Addr;
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::time::Duration;
 
-use mhrp::{MhrpHostNode, MobileHostNode};
+use mhrp::MhrpHostNode;
 use netsim::time::SimTime;
 use netsim::{Clock, Frame, IfaceId, LinkEvent, NodeHarness, NodeId, NodeIo};
-use netstack::nodes::UdpRecord;
-use telemetry::Event;
-use tokio::sync::mpsc::UnboundedReceiver;
-use tokio::time::Duration;
 use workload::encode_probe;
 
 use crate::clock::WallClock;
@@ -56,8 +55,8 @@ pub enum Cmd {
     Stop,
 }
 
-/// What kind of protocol core an agent runs (decides result
-/// extraction).
+/// What kind of protocol core an agent runs (decides what is read
+/// from its report).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
     /// One of R1–R5.
@@ -71,10 +70,9 @@ pub enum Role {
 /// The [`NodeIo`] implementation for live mode: frames become
 /// datagrams fanned out per the switchboard's segment membership.
 ///
-/// Sends use blocking `std` clones of the agent's bound sockets — a
-/// loopback `send_to` does not block in practice, and staying
-/// synchronous keeps `NodeIo`'s contract (the harness calls it from
-/// inside dispatch).
+/// Sends go out on clones of the interface sockets (the reader threads
+/// own the originals) straight from inside dispatch — a loopback
+/// `send_to` does not block in practice.
 pub struct LiveIo {
     switchboard: Switchboard,
     senders: Vec<std::net::UdpSocket>,
@@ -108,18 +106,13 @@ impl NodeIo for LiveIo {
 }
 
 /// Everything an agent hands back when stopped.
-#[derive(Debug)]
 pub struct AgentReport {
-    /// The node this agent ran.
-    pub node_id: NodeId,
-    /// Its full structured telemetry (journey fragments included).
-    pub events: Vec<Event>,
-    /// `mhrp.overhead_bytes` counter at shutdown.
-    pub overhead_bytes: u64,
-    /// `mhrp.updates_sent` counter at shutdown.
-    pub updates_sent: u64,
-    /// Application-level deliveries (mobile hosts only).
-    pub udp_rx: Vec<UdpRecord>,
+    /// The agent's harness at shutdown: its protocol core (a mobile
+    /// host's application deliveries), its full structured telemetry
+    /// (journey fragments included) and its counters.
+    pub harness: NodeHarness,
+    /// What the core is.
+    pub role: Role,
     /// Actual probe transmission times (S only): `(flow, seq, at)`.
     pub probe_sends: Vec<(u32, u32, SimTime)>,
     /// Datagrams sent on the wire.
@@ -135,22 +128,24 @@ pub struct AgentReport {
 pub struct Agent {
     /// The sans-io dispatch engine around the protocol core.
     pub harness: NodeHarness,
-    /// What the core is (decides extraction on shutdown).
+    /// What the core is (handed back in the report).
     pub role: Role,
     /// Frame egress.
     pub io: LiveIo,
     /// Shared wall clock.
     pub clock: WallClock,
     /// Command mailbox (readers and the coordinator hold senders).
-    pub rx: UnboundedReceiver<Cmd>,
+    pub rx: Receiver<Cmd>,
     /// Shared segment membership (for stale-datagram filtering).
     pub switchboard: Switchboard,
 }
 
 impl Agent {
-    /// Runs the agent until [`Cmd::Stop`] (or every sender hangs up),
-    /// then extracts the report.
-    pub async fn run(mut self) -> AgentReport {
+    /// Runs the agent on the calling thread until [`Cmd::Stop`] (or
+    /// every sender hangs up), then hands back the harness in its
+    /// report. Between messages the thread blocks until the harness's
+    /// next timer deadline, or indefinitely when no timer is armed.
+    pub fn run(mut self) -> AgentReport {
         let clock = self.clock;
         self.harness.start(clock.now(), &mut self.io);
         let mut probe_sends = Vec::new();
@@ -158,22 +153,18 @@ impl Agent {
         let mut malformed = 0u64;
         loop {
             self.harness.tick(clock.now(), &mut self.io);
-            let wait = match self.harness.next_deadline() {
+            let cmd = match self.harness.next_deadline() {
                 Some(d) => {
                     let now = clock.now();
-                    if d <= now {
-                        Duration::ZERO
-                    } else {
-                        Duration::from_nanos(d.since(now).as_nanos())
-                    }
+                    let wait = if d <= now { 0 } else { d.since(now).as_nanos() };
+                    self.rx.recv_timeout(Duration::from_nanos(wait))
                 }
-                None => Duration::from_millis(50),
+                None => self.rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
             };
-            match tokio::time::timeout(wait, self.rx.recv()).await {
-                Err(_) => continue, // deadline reached: tick at loop top
-                Ok(None) => break,
-                Ok(Some(Cmd::Stop)) => break,
-                Ok(Some(Cmd::Datagram { iface, bytes })) => {
+            match cmd {
+                Err(RecvTimeoutError::Timeout) => continue, // deadline reached: tick at loop top
+                Err(RecvTimeoutError::Disconnected) | Ok(Cmd::Stop) => break,
+                Ok(Cmd::Datagram { iface, bytes }) => {
                     let datagram = match LiveDatagram::decode(&bytes) {
                         Ok(d) => d,
                         Err(_) => {
@@ -192,10 +183,10 @@ impl Agent {
                     let frame = datagram.into_frame();
                     self.harness.on_frame(clock.now(), &mut self.io, iface, &frame);
                 }
-                Ok(Some(Cmd::Link { iface, event })) => {
+                Ok(Cmd::Link { iface, event }) => {
                     self.harness.on_link(clock.now(), &mut self.io, iface, event);
                 }
-                Ok(Some(Cmd::Probe { dst, flow, seq })) => {
+                Ok(Cmd::Probe { dst, flow, seq }) => {
                     let at = clock.now();
                     let payload = encode_probe(flow, seq, PROBE_LEN);
                     self.harness.with_node::<MhrpHostNode, _>(at, &mut self.io, |h, ctx| {
@@ -207,16 +198,9 @@ impl Agent {
         }
         self.harness.tick(clock.now(), &mut self.io);
 
-        let udp_rx = match self.role {
-            Role::Mobile(_) => self.harness.node::<MobileHostNode>().log().udp_rx.clone(),
-            _ => Vec::new(),
-        };
         AgentReport {
-            node_id: self.harness.node_id(),
-            events: self.harness.telemetry().events().copied().collect(),
-            overhead_bytes: self.harness.stats().counter("mhrp.overhead_bytes"),
-            updates_sent: self.harness.stats().counter("mhrp.updates_sent"),
-            udp_rx,
+            harness: self.harness,
+            role: self.role,
             probe_sends,
             datagrams_sent: self.io.datagrams_sent,
             stale_segment_drops,

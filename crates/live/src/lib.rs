@@ -9,10 +9,10 @@
 //!
 //! * **Agents** ([`agent`]) — every Figure 1 node (routers, home/foreign
 //!   agents, the correspondent S, the mobile hosts) becomes a
-//!   [`netsim::NodeHarness`] fed by real sockets via the datagram
-//!   framing in [`wire`], with timers driven by a wall [`clock`], and a
-//!   [`switchboard`] playing the role of broadcast segments and radio
-//!   cells.
+//!   [`netsim::NodeHarness`] on an OS thread of its own, fed by real
+//!   sockets via the datagram framing in [`wire`], with timers driven by
+//!   a wall [`clock`], and a [`switchboard`] playing the role of
+//!   broadcast segments and radio cells.
 //! * **The shared scenario** ([`scenario`]) — one description of the
 //!   topology, probe timetable and mobility plan that both runtimes
 //!   compile ([`sim::run_sim`] into a `World`, [`run::run_live`] into a

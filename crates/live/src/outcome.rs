@@ -1,6 +1,8 @@
 //! Per-probe results, SLO evaluation and the sim-vs-live
 //! cross-validation check.
 
+use std::collections::HashMap;
+
 use netsim::time::SimTime;
 use workload::{evaluate, SloMeasurements, SloReport, SloThresholds};
 
@@ -48,6 +50,8 @@ pub(crate) struct RawDelivery {
 /// evaluates the SLOs. `send_times` maps `(flow, seq)` to the actual
 /// transmission time in the producing runtime's clock; `sim_seconds`,
 /// `overhead_bytes` and `updates_sent` feed the rate/overhead SLOs.
+/// The first send and the first delivery of a `(flow, seq)` count; a
+/// delivery without a recorded send counts as undelivered.
 pub(crate) fn assemble(
     label: &str,
     sc: &LoopbackScenario,
@@ -57,14 +61,20 @@ pub(crate) fn assemble(
     overhead_bytes: u64,
     updates_sent: u64,
 ) -> RunOutcome {
+    let mut sent_at: HashMap<(u32, u32), SimTime> = HashMap::with_capacity(send_times.len());
+    for &(flow, seq, at) in send_times {
+        sent_at.entry((flow, seq)).or_insert(at);
+    }
+    let mut hits: HashMap<(u32, u32), &RawDelivery> = HashMap::with_capacity(deliveries.len());
+    for d in &deliveries {
+        hits.entry((d.flow, d.seq)).or_insert(d);
+    }
     let mut probes = Vec::with_capacity(sc.probes.len());
     let mut latencies = Vec::new();
     for p in &sc.probes {
-        let sent_at =
-            send_times.iter().find(|(f, s, _)| (*f, *s) == (p.flow, p.seq)).map(|(_, _, at)| *at);
-        let hit = deliveries.iter().find(|d| (d.flow, d.seq) == (p.flow, p.seq));
-        let outcome = match (hit, sent_at) {
-            (Some(d), Some(sent)) => {
+        let key = (p.flow, p.seq);
+        let outcome = match (hits.get(&key), sent_at.get(&key)) {
+            (Some(d), Some(&sent)) => {
                 let latency_us = if d.at >= sent { d.at.since(sent).as_micros() } else { 0 };
                 latencies.push(latency_us);
                 ProbeOutcome {
@@ -183,4 +193,35 @@ pub fn cross_validate(sim: &RunOutcome, live: &RunOutcome) -> CrossValidation {
         }
     }
     CrossValidation { compared: sim.probes.len().min(live.probes.len()), mismatches }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn delivery(flow: u32, seq: u32, at_us: u64, hops: &[u32]) -> RawDelivery {
+        RawDelivery { flow, seq, at: SimTime::from_micros(at_us), hops: hops.to_vec() }
+    }
+
+    #[test]
+    fn assemble_keeps_the_first_delivery_and_needs_a_send() {
+        let sc = LoopbackScenario::canonical(1);
+        let (a, b) = (&sc.probes[0], &sc.probes[1]);
+        let deliveries = vec![
+            delivery(a.flow, a.seq, 1_500, &[0, 1, 6]),
+            delivery(a.flow, a.seq, 1_900, &[0, 6]),
+            delivery(b.flow, b.seq, 2_000, &[0, 6]),
+        ];
+        // Probe `b` was delivered but never recorded as sent.
+        let sends = [(a.flow, a.seq, SimTime::from_micros(1_000))];
+        let out = assemble("t", &sc, deliveries, &sends, 1.0, 0, 0);
+
+        assert_eq!(out.probes.len(), sc.probes.len());
+        let first = &out.probes[0];
+        assert!(first.delivered);
+        assert_eq!((first.hops.as_slice(), first.latency_us), ([0, 1, 6].as_slice(), 500));
+        let unsent = &out.probes[1];
+        assert_eq!((unsent.delivered, unsent.hops.len(), unsent.latency_us), (false, 0, 0));
+        assert!(out.probes[2..].iter().all(|p| !p.delivered));
+    }
 }

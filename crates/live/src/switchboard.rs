@@ -49,14 +49,21 @@ impl Switchboard {
         self.inner.lock().unwrap().push(port);
     }
 
-    /// Re-attaches `(node, iface)` to `segment` (or detaches it).
-    pub fn set_segment(&self, node: NodeId, iface: IfaceId, segment: Option<usize>) {
+    /// Re-attaches `(node, iface)` to `segment` (or detaches it) under
+    /// one lock, so no sender sees the interface half-moved, and returns
+    /// the segment it was attached to before.
+    pub fn move_iface(
+        &self,
+        node: NodeId,
+        iface: IfaceId,
+        segment: Option<usize>,
+    ) -> Option<usize> {
         let mut ports = self.inner.lock().unwrap();
         let port = ports
             .iter_mut()
             .find(|p| p.node == node && p.iface == iface)
-            .expect("set_segment on an unregistered interface");
-        port.segment = segment;
+            .expect("move_iface on an unregistered interface");
+        std::mem::replace(&mut port.segment, segment)
     }
 
     /// The segment `(node, iface)` is currently attached to.
@@ -133,11 +140,25 @@ mod tests {
     #[test]
     fn moving_changes_reachability_and_detached_sends_nowhere() {
         let sb = board();
-        sb.set_segment(NodeId(2), IfaceId(0), Some(0));
+        assert_eq!(sb.move_iface(NodeId(2), IfaceId(0), Some(0)), Some(1));
         let (_, dests) = sb.destinations(NodeId(0), IfaceId(0), MacAddr([0xff; 6]));
         assert_eq!(dests.len(), 2);
-        sb.set_segment(NodeId(0), IfaceId(0), None);
+        assert_eq!(sb.move_iface(NodeId(0), IfaceId(0), None), Some(0));
         let (seg, dests) = sb.destinations(NodeId(0), IfaceId(0), MacAddr([0xff; 6]));
         assert_eq!((seg, dests.len()), (None, 0));
+    }
+
+    #[test]
+    fn move_iface_returns_the_old_segment_and_applies_the_new_one() {
+        let sb = board();
+        assert_eq!(sb.move_iface(NodeId(1), IfaceId(0), Some(1)), Some(0));
+        assert_eq!(sb.segment_of(NodeId(1), IfaceId(0)), Some(1));
+        assert_eq!(sb.move_iface(NodeId(1), IfaceId(0), None), Some(1));
+        assert_eq!(sb.segment_of(NodeId(1), IfaceId(0)), None);
+        assert_eq!(sb.move_iface(NodeId(1), IfaceId(0), None), None);
+        assert_eq!(sb.move_iface(NodeId(1), IfaceId(0), Some(0)), None);
+        // Back on segment 0, node 1 is reachable from node 0 again.
+        let (_, dests) = sb.destinations(NodeId(0), IfaceId(0), MacAddr::from_index(1));
+        assert_eq!(dests, vec![addr(9001)]);
     }
 }
